@@ -11,7 +11,12 @@
 //      under a generous per-fire budget, far below anything that could
 //      matter at a 1-in-1024 duty cycle.
 //
-// Both halves are *asserted*, not just reported: a regression that drags a
+//   3. A *sampled batch* traces only its sampled events: a 64-event
+//      FireBatch holding one sampled event may cost at most two traced
+//      single fires more than an unsampled one. Tracing the whole batch
+//      (every event through the profiled VM loop) breaks this bound.
+//
+// All three are *asserted*, not just reported: a regression that drags a
 // lock, an allocation, or an unconditional clock read onto the untraced
 // path fails the binary. Results land in BENCH_trace_overhead.json
 // (override with --out=FILE); pass --benchmark to run the google-benchmark
@@ -28,6 +33,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -43,6 +49,8 @@ namespace {
 constexpr double kTracedBudgetNs = 25'000.0;   // median fully-traced fire
 constexpr double kUntracedSlackNs = 25.0;      // absolute regression floor
 constexpr double kUntracedSlackRatio = 0.20;   // relative regression bound
+constexpr size_t kBatchEvents = 64;            // one FireBatch, a NAPI-sized window
+constexpr double kSampledBatchTracedFires = 2.0;  // sampled-batch delta bound
 
 // One hook + one installed two-instruction action, the bench dispatch rig.
 struct FireRig {
@@ -93,6 +101,48 @@ double MedianFireNs(FireRig& rig, uint32_t sample_every) {
   }
   per_fire_ns.Sort();
   return per_fire_ns.PercentileSorted(50);
+}
+
+// Median ns per kBatchEvents-event FireBatch call, untraced and with exactly
+// one sampled event per call (sample_every == kBatchEvents, wherever the fire
+// sequence starts). The two kinds of sample alternate, so a shift in host
+// speed lands on both medians alike.
+struct BatchMedians {
+  double untraced_ns = 0;
+  double one_sampled_ns = 0;
+};
+
+BatchMedians MedianBatchNs(FireRig& rig) {
+  Tracer& tracer = rig.hooks.telemetry().tracer();
+  constexpr int kSamplesPerSide = 48;
+  constexpr int kCallsPerSample = 200;
+  constexpr uint32_t kSampleEvery[2] = {0, kBatchEvents};
+  std::vector<HookEvent> events;
+  for (uint64_t i = 0; i < kBatchEvents; ++i) {
+    events.emplace_back(i, std::initializer_list<int64_t>{});
+  }
+  std::vector<int64_t> results(kBatchEvents);
+  Samples per_batch_ns[2];
+  // Sample s measures side s % 2; the first sample of each side warms up.
+  for (int s = 0; s < 2 * (kSamplesPerSide + 1); ++s) {
+    const int side = s % 2;
+    tracer.set_sample_every(kSampleEvery[side]);
+    const uint64_t start = MonotonicNowNs();
+    for (int c = 0; c < kCallsPerSample; ++c) {
+      rig.hooks.FireBatch(rig.hook, events, results);
+      benchmark::DoNotOptimize(results.data());
+    }
+    const uint64_t elapsed = MonotonicNowNs() - start;
+    if (s >= 2) {
+      per_batch_ns[side].Add(static_cast<double>(elapsed) / kCallsPerSample);
+    }
+  }
+  BatchMedians medians;
+  per_batch_ns[0].Sort();
+  per_batch_ns[1].Sort();
+  medians.untraced_ns = per_batch_ns[0].PercentileSorted(50);
+  medians.one_sampled_ns = per_batch_ns[1].PercentileSorted(50);
+  return medians;
 }
 
 // Median cost of one bare span (Begin + 2 tags + End), outside any hook.
@@ -178,12 +228,15 @@ int RunBudgetCheck(const std::string& out_path) {
   const double sampled_ns =
       MedianFireNs(rig, /*sample_every=*/Tracer::kDefaultSampleEvery);
   const double traced_ns = MedianFireNs(rig, /*sample_every=*/1);
+  const BatchMedians batch = MedianBatchNs(rig);
 
   const double untraced_delta = sampled_ns - untraced_ns;
   const double untraced_bound =
       untraced_ns * kUntracedSlackRatio > kUntracedSlackNs
           ? untraced_ns * kUntracedSlackRatio
           : kUntracedSlackNs;
+  const double batch_delta = batch.one_sampled_ns - batch.untraced_ns;
+  const double batch_bound = kSampledBatchTracedFires * traced_ns;
 
   std::printf("span (begin+2 tags+end):   %8.1f ns median\n", span_ns);
   std::printf("fire, tracer disabled:     %8.1f ns median\n", untraced_ns);
@@ -191,6 +244,9 @@ int RunBudgetCheck(const std::string& out_path) {
               Tracer::kDefaultSampleEvery, sampled_ns, untraced_delta, untraced_bound);
   std::printf("fire, every fire traced:   %8.1f ns median (budget %.0f ns)\n", traced_ns,
               kTracedBudgetNs);
+  std::printf("%zu-event batch, untraced: %8.1f ns median\n", kBatchEvents, batch.untraced_ns);
+  std::printf("%zu-event batch, 1 sampled: %7.1f ns median (delta %+.1f ns, bound %.1f ns)\n",
+              kBatchEvents, batch.one_sampled_ns, batch_delta, batch_bound);
 
   int failures = 0;
   if (traced_ns > kTracedBudgetNs) {
@@ -206,6 +262,14 @@ int RunBudgetCheck(const std::string& out_path) {
                  "baseline (bound %.1f ns) — the untraced path must stay one relaxed "
                  "load and a branch\n",
                  untraced_delta, untraced_bound);
+    ++failures;
+  }
+  if (batch_delta > batch_bound) {
+    std::fprintf(stderr,
+                 "FAIL: one sampled event costs its %zu-event batch %.1f ns over an "
+                 "unsampled one (bound %.1f ns = %.0fx a traced fire) — only the sampled "
+                 "event may run traced\n",
+                 kBatchEvents, batch_delta, batch_bound, kSampledBatchTracedFires);
     ++failures;
   }
   if (failures == 0) {
@@ -228,10 +292,16 @@ int RunBudgetCheck(const std::string& out_path) {
                "  \"untraced_delta_ns\": %.2f,\n"
                "  \"untraced_bound_ns\": %.2f,\n"
                "  \"traced_budget_ns\": %.0f,\n"
+               "  \"batch_events\": %zu,\n"
+               "  \"batch_untraced_ns\": %.2f,\n"
+               "  \"batch_one_sampled_ns\": %.2f,\n"
+               "  \"batch_sampled_delta_ns\": %.2f,\n"
+               "  \"batch_sampled_bound_ns\": %.2f,\n"
                "  \"ok\": %s\n"
                "}\n",
                span_ns, untraced_ns, sampled_ns, traced_ns, Tracer::kDefaultSampleEvery,
-               untraced_delta, untraced_bound, kTracedBudgetNs,
+               untraced_delta, untraced_bound, kTracedBudgetNs, kBatchEvents,
+               batch.untraced_ns, batch.one_sampled_ns, batch_delta, batch_bound,
                failures == 0 ? "true" : "false");
   std::fclose(out);
   std::fprintf(stderr, "wrote %s\n", out_path.c_str());

@@ -200,25 +200,39 @@ void HookRegistry::FireBatch(HookId id, std::span<const HookEvent> events,
   // seq_base + i, so canary routing decides each event exactly as the
   // equivalent single Fire would.
   const uint64_t seq_base = hook.fires->FetchIncrement(n);
-  // The batch is traced when forced or when any of its dense sequence
-  // numbers would sample — identical to the fires-traced set N single Fire
-  // calls would produce.
+  // Tracing is decided per event, as N single Fire calls would decide it:
+  // event i is traced iff the hook is force-traced or seq_base + i samples.
+  // Sampled events sit `every` apart, so the offset of the first one (n when
+  // the batch holds none) locates them all without a per-event modulo.
   Tracer& t = telemetry_->tracer();
-  Tracer* tracer = nullptr;
+  size_t first_sampled = n;
+  size_t every = 1;
   if (hook.force_trace.load(std::memory_order_relaxed) != 0) {
-    tracer = &t;
-  } else if (const uint32_t every = t.sample_every(); every != 0) {
-    const uint64_t to_next = (every - seq_base % every) % every;
-    if (to_next < n) {
-      tracer = &t;
-    }
+    first_sampled = 0;
+  } else if (const uint32_t rate = t.sample_every(); rate != 0) {
+    every = rate;
+    const uint64_t to_next = (rate - seq_base % rate) % rate;
+    first_sampled = to_next < n ? static_cast<size_t>(to_next) : n;
   }
-  ScopedSpan batch_span(tracer, hook.span_label.c_str());
+  // A batch traced end to end (forced, or 1-in-1 sampling) is one tree whose
+  // root spans every table pass. Otherwise sampled events are >= 2 apart, so
+  // each one is a traced run of its own between two untraced runs.
+  const bool all_traced = first_sampled == 0 && every == 1;
+  Tracer* const batch_tracer = all_traced ? &t : nullptr;
+  ScopedSpan batch_span(batch_tracer, hook.span_label.c_str());
   batch_span.Tag("hook", id);
   batch_span.Tag("seq", static_cast<int64_t>(seq_base));
   batch_span.Tag("batch", static_cast<int64_t>(n));
   const uint64_t start_ns = MonotonicNowNs();
   HookBatchStats stats;
+  // Runs events [begin, end) through `table` untraced, so they keep the tier
+  // that serves them; an empty run costs nothing.
+  const auto run_untraced = [&](AttachedTable* table, size_t begin, size_t end) {
+    if (end > begin) {
+      table->ExecuteBatch(events.subspan(begin, end - begin), seq_base + begin,
+                          results.subspan(begin, end - begin), &stats);
+    }
+  };
   const std::vector<AttachedTable*>* tables = hook.tables.Load();
   for (AttachedTable* table : *tables) {
     // Governor admission, checked once per table pass (the rung cannot
@@ -243,7 +257,24 @@ void HookRegistry::FireBatch(HookId id, std::span<const HookEvent> events,
       hook.shed_fires->Increment(n);
       continue;
     }
-    table->ExecuteBatch(events, seq_base, results, &stats, tracer);
+    if (all_traced) {
+      table->ExecuteBatch(events, seq_base, results, &stats, batch_tracer);
+      continue;
+    }
+    // Tables stay outer: this table consumes every run of the batch before
+    // the next table starts. Each sampled event is its own span tree.
+    size_t done = 0;
+    for (size_t s = first_sampled; s < n; s += every) {
+      run_untraced(table, done, s);
+      ScopedSpan run_span(&t, hook.span_label.c_str());
+      run_span.Tag("hook", id);
+      run_span.Tag("seq", static_cast<int64_t>(seq_base + s));
+      run_span.Tag("batch", 1);
+      table->ExecuteBatch(events.subspan(s, 1), seq_base + s, results.subspan(s, 1), &stats,
+                          &t);
+      done = s + 1;
+    }
+    run_untraced(table, done, n);
   }
   if (stats.actions_run > 0) {
     hook.actions_run->Increment(stats.actions_run);

@@ -177,7 +177,11 @@ class HookRegistry {
   // attach order, each consuming the whole batch before the next table runs;
   // for the single-table hooks the sims use this matches Fire ordering
   // exactly (see DESIGN.md "Fire-path performance" for the multi-table
-  // caveat). `results.size()` must be >= `events.size()`.
+  // caveat). Tracing is per event, like Fire: only the sampled events run
+  // traced (never on tier 3), each as its own `hook.<name>` tree tagged
+  // with its seq and `batch` 1, while the rest keep their serving tier. A
+  // force-traced hook, or 1-in-1 sampling, traces the batch as one tree.
+  // `results.size()` must be >= `events.size()`.
   void FireBatch(HookId id, std::span<const HookEvent> events, std::span<int64_t> results);
 
   // Attachment management (control plane only).

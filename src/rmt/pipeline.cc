@@ -129,7 +129,8 @@ Result<int64_t> AttachedTable::Execute(uint64_t key, std::span<const int64_t> ar
   }
   ScopedSpan exec_span(tracer, "vm.exec");
   exec_span.Tag("action", effective);
-  exec_span.Tag("tier", tier_ == ExecTier::kJit ? 1 : 0);
+  // Tier numbers follow the ladder (TierReport::tier): 1 interpreter, 2 JIT.
+  exec_span.Tag("tier", tier_ == ExecTier::kJit ? 2 : 1);
 
   const uint64_t start_ns = exec_metrics_ != nullptr ? MonotonicNowNs() : 0;
   Result<int64_t> run = [&]() -> Result<int64_t> {
@@ -184,8 +185,9 @@ Result<int64_t> AttachedTable::Execute(uint64_t key, std::span<const int64_t> ar
 void AttachedTable::ExecuteBatch(std::span<const HookEvent> events, uint64_t seq_base,
                                  std::span<int64_t> results, HookBatchStats* stats,
                                  Tracer* tracer) {
-  // Canary routing resolved once per batch: a mid-batch permille update
-  // applies from the next batch on (Fire re-reads it per event).
+  // Canary routing resolved once per call: a permille update lands between
+  // two batches, or between two runs of one sampled batch (Fire re-reads it
+  // per event).
   bool route_all = true;
   bool canary_side = false;
   uint32_t permille = 0;

@@ -120,10 +120,13 @@ class AttachedTable {
   // and bulk VM-metric updates. Event i is fire seq_base + i for routing.
   // Per-event result-merge semantics match Fire: an ok, non-fallback result
   // overwrites results[i]; errors and skipped events leave it untouched.
-  // A traced batch (`tracer` non-null) emits one "table.lookup" span per
-  // table pass — tagged with the index kind, epoch, and batch tallies — and
-  // accumulates the batch's opcode/helper profile; ml.eval spans still nest
-  // per model call.
+  // FireBatch calls this once per run of events that share traced-ness: the
+  // whole batch when none of it is sampled, else the sampled events one by
+  // one with the untraced runs between them. An untraced run (`tracer`
+  // null) keeps its serving tier, tier 3 included. A traced run emits one
+  // "table.lookup" span for its pass — tagged with the index kind, epoch,
+  // and run tallies — never takes tier 3, and accumulates its opcode/helper
+  // profile; ml.eval spans still nest per model call.
   void ExecuteBatch(std::span<const HookEvent> events, uint64_t seq_base,
                     std::span<int64_t> results, HookBatchStats* stats,
                     Tracer* tracer = nullptr);

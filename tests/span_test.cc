@@ -166,6 +166,26 @@ TEST(SpanTest, SamplingIsDeterministicInSeq) {
 // Fire / FireBatch datapath integration.
 // ---------------------------------------------------------------------------
 
+// A one-table program on "test.hook" whose only action returns `value`.
+RmtProgramSpec ConstantProgram(const std::string& name, int64_t value,
+                               bool with_helper_call = false) {
+  Assembler as("test_action", HookKind::kGeneric);
+  if (with_helper_call) {
+    as.Call(HelperId::kGetTime);  // the "vm.helper" failpoint site
+  }
+  as.MovImm(0, value);
+  as.Exit();
+  RmtProgramSpec spec;
+  spec.name = name;
+  RmtTableSpec table;
+  table.name = name + "_tab";
+  table.hook_point = "test.hook";
+  table.actions.push_back(std::move(as.Build()).value());
+  table.default_action = 0;
+  spec.tables.push_back(std::move(table));
+  return spec;
+}
+
 // One hook + one installed trivial action (r0 = 1).
 struct FireRig {
   HookRegistry hooks;
@@ -175,23 +195,17 @@ struct FireRig {
 
   void Init(bool with_helper_call = false) {
     hook = *hooks.Register("test.hook", HookKind::kGeneric);
-    Assembler as("test_action", HookKind::kGeneric);
-    if (with_helper_call) {
-      as.Call(HelperId::kGetTime);  // the "vm.helper" failpoint site
-    }
-    as.MovImm(0, 1);
-    as.Exit();
-    RmtProgramSpec spec;
-    spec.name = "span_test_prog";
-    RmtTableSpec table;
-    table.name = "span_tab";
-    table.hook_point = "test.hook";
-    table.actions.push_back(std::move(as.Build()).value());
-    table.default_action = 0;
-    spec.tables.push_back(std::move(table));
-    handle = *control_plane.Install(spec);
+    handle = *control_plane.Install(ConstantProgram("span_test_prog", 1, with_helper_call));
   }
 };
+
+std::vector<HookEvent> KeyedEvents(size_t n) {
+  std::vector<HookEvent> events;
+  for (uint64_t i = 0; i < n; ++i) {
+    events.emplace_back(i, std::initializer_list<int64_t>{});
+  }
+  return events;
+}
 
 TEST(SpanFireTest, SampledFireEmitsCausalTree) {
   FireRig rig;
@@ -218,6 +232,7 @@ TEST(SpanFireTest, SampledFireEmitsCausalTree) {
   EXPECT_EQ(TagValue(*root, "key"), 42);
   EXPECT_EQ(TagValue(*root, "result"), 1);
   EXPECT_EQ(TagValue(*exec, "err"), 0);
+  EXPECT_EQ(TagValue(*exec, "tier"), 2);  // the control plane installs on the JIT
 }
 
 TEST(SpanFireTest, UntracedFireEmitsNothing) {
@@ -285,6 +300,79 @@ TEST(SpanFireTest, FireBatchEmitsOneTreePerBatch) {
   EXPECT_EQ(TagValue(*lookup, "errors"), 0);
   // One tree for the whole batch: the per-batch overhead contract.
   EXPECT_EQ(tracer.spans_recorded() - before, 2u);
+}
+
+TEST(SpanFireTest, FireBatchTracesOnlySampledEvents) {
+  const std::vector<HookEvent> events = KeyedEvents(10);  // seqs 0..9 on a fresh hook
+  FireRig untraced;
+  untraced.Init();
+  untraced.hooks.telemetry().tracer().set_sample_every(0);
+  std::vector<int64_t> expected(events.size(), 0);
+  untraced.hooks.FireBatch(untraced.hook, events, expected);
+
+  FireRig rig;
+  rig.Init();
+  Tracer& tracer = rig.hooks.telemetry().tracer();
+  tracer.set_sample_every(4);
+  std::vector<int64_t> results(events.size(), 0);
+  rig.hooks.FireBatch(rig.hook, events, results);
+  EXPECT_EQ(results, expected);
+
+  // Seqs 0, 4 and 8 sample: each is its own one-event tree, and the seven
+  // events between them leave no span at all.
+  const std::vector<SpanRecord> spans = tracer.Snapshot();
+  std::vector<const SpanRecord*> roots;
+  for (const SpanRecord& span : spans) {
+    if (std::strcmp(span.name, "hook.test.hook") == 0) {
+      roots.push_back(&span);
+    }
+  }
+  ASSERT_EQ(roots.size(), 3u);
+  for (size_t r = 0; r < roots.size(); ++r) {
+    EXPECT_EQ(roots[r]->parent_id, 0u);
+    EXPECT_EQ(TagValue(*roots[r], "seq"), static_cast<int64_t>(4 * r));
+    EXPECT_EQ(TagValue(*roots[r], "batch"), 1);
+    size_t children = 0;
+    for (const SpanRecord& span : spans) {
+      if (span.parent_id == roots[r]->span_id) {
+        ++children;
+        EXPECT_STREQ(span.name, "table.lookup");
+        EXPECT_EQ(span.trace_id, roots[r]->trace_id);
+        EXPECT_EQ(TagValue(span, "events"), 1);
+        EXPECT_EQ(TagValue(span, "execs"), 1);
+      }
+    }
+    EXPECT_EQ(children, 1u);
+  }
+  EXPECT_NE(roots[0]->trace_id, roots[1]->trace_id);
+  EXPECT_NE(roots[1]->trace_id, roots[2]->trace_id);
+}
+
+TEST(SpanFireTest, SampledBatchKeepsCanaryRouting) {
+  // Per-event results of one batch across a 500-permille canary split: seqs
+  // 0..499 route to the canary (r0 = 2), 500..999 to the incumbent (r0 = 1).
+  const auto fire_batch = [](uint32_t sample_every) {
+    FireRig rig;
+    rig.Init();
+    ControlPlane::CanaryConfig config;
+    config.canary_permille = 500;
+    EXPECT_TRUE(rig.control_plane
+                    .InstallCanary(rig.handle, ConstantProgram("span_test_canary", 2), config)
+                    .ok());
+    // The rollout force-traces its hook; drop that so sampling alone decides.
+    rig.hooks.AdjustForceTrace(rig.hook, -1);
+    rig.hooks.telemetry().tracer().set_sample_every(sample_every);
+    const std::vector<HookEvent> events = KeyedEvents(1000);
+    std::vector<int64_t> results(events.size(), 0);
+    rig.hooks.FireBatch(rig.hook, events, results);
+    return results;
+  };
+  const std::vector<int64_t> untraced = fire_batch(0);
+  ASSERT_EQ(untraced.size(), 1000u);
+  for (size_t seq = 0; seq < untraced.size(); ++seq) {
+    EXPECT_EQ(untraced[seq], seq < 500 ? 2 : 1) << "seq " << seq;
+  }
+  EXPECT_EQ(fire_batch(4), untraced);
 }
 
 // ---------------------------------------------------------------------------

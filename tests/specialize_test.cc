@@ -802,5 +802,51 @@ TEST(TierLadderTest, TracedFiresStayOnTier2) {
   EXPECT_EQ(program->tier3_stats().execs.value(), 0u);
 }
 
+TEST(TierLadderTest, OnlySampledBatchEventsStayOnTier2) {
+  Assembler a("sampled");
+  a.MovImm(0, 42).Exit();
+
+  HookRegistry hooks;
+  hooks.telemetry().tracer().set_sample_every(0);
+  Result<HookId> hook = hooks.Register("sampled.hook", HookKind::kGeneric);
+  ASSERT_TRUE(hook.ok());
+  ControlPlane cp(&hooks);
+  RmtProgramSpec spec;
+  spec.name = "sampled_prog";
+  RmtTableSpec table;
+  table.name = "sampled_tab";
+  table.hook_point = "sampled.hook";
+  table.actions.push_back(MustBuild(a));
+  table.default_action = 0;
+  spec.tables.push_back(std::move(table));
+  Result<ControlPlane::ProgramHandle> handle = cp.Install(spec);
+  ASSERT_TRUE(handle.ok());
+  ControlPlane::TieringConfig tiering;
+  tiering.hot_execs = 1;
+  ASSERT_TRUE(cp.EnableTiering(*handle, tiering).ok());
+  (void)hooks.Fire(*hook, 1);
+  ASSERT_TRUE(cp.TickTiering(*handle).ok());
+  InstalledProgram* program = cp.Get(*handle);
+  ASSERT_NE(program, nullptr);
+  const ShardedCounter& tier3_execs = program->tier3_stats().execs;
+
+  const std::vector<HookEvent> events(64, HookEvent(1, {}));
+  std::vector<int64_t> results(events.size(), 0);
+  // 1-in-16 sampling: 4 of the 64 events run traced on tier 2, and the
+  // other 60 keep the specialized stream.
+  hooks.telemetry().tracer().set_sample_every(16);
+  uint64_t before = tier3_execs.value();
+  hooks.FireBatch(*hook, events, results);
+  EXPECT_EQ(tier3_execs.value() - before, 60u);
+  EXPECT_EQ(results, std::vector<int64_t>(events.size(), 42));
+
+  // A force-traced hook traces, and so keeps on tier 2, the whole batch.
+  hooks.AdjustForceTrace(*hook, +1);
+  before = tier3_execs.value();
+  hooks.FireBatch(*hook, events, results);
+  EXPECT_EQ(tier3_execs.value() - before, 0u);
+  EXPECT_EQ(results, std::vector<int64_t>(events.size(), 42));
+}
+
 }  // namespace
 }  // namespace rkd
